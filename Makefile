@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-hotpath bench-compare bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke clean
+.PHONY: all build test race vet check golden bench bench-hotpath bench-compare bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke clean
 
 all: check
 
@@ -25,6 +25,11 @@ vet:
 	$(GO) vet ./...
 
 check: build vet test race
+
+# Golden-figures gate: the 1 h paper suite at seed 1 must reproduce the
+# committed figures_1h.txt byte for byte (≈19 s on 2 cores).
+golden:
+	$(GO) run ./cmd/figures -simtime 1h -seed 1 | cmp - figures_1h.txt
 
 # Regenerate the committed orchestrator benchmark (BENCH_fleet.json):
 # the full 9-figure suite at 5 simulated minutes per run, all cores.

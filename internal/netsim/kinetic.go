@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"math"
 	"time"
 
@@ -62,9 +61,11 @@ type TopologyStats struct {
 	// Rebins counts Verlet anchor re-bins (candidate rediscovery scans).
 	Rebins uint64
 	// RoutesRepaired / RoutesDropped count per-destination route tables
-	// incrementally repaired vs dropped (affected region too large) at
-	// samples; RouteFullResets counts wholesale route-cache resets (every
-	// serial-mode rebuild does one).
+	// incrementally repaired vs dropped or rebuilt (too many samples
+	// behind, or affected region too large). Repair is lazy, so both are
+	// counted when a stale table is read, except drops for falling too
+	// far behind, which happen at the sample. RouteFullResets counts
+	// wholesale route-cache resets (every serial-mode rebuild does one).
 	RoutesRepaired, RoutesDropped, RouteFullResets uint64
 }
 
@@ -117,13 +118,50 @@ type kinItem struct {
 	gen uint32
 }
 
+// kinHeap is a binary min-heap of checks ordered by due time only.
+// Entries with equal due times pop in an order fixed by the heap's
+// layout, which feeds the order link flips are recorded in, so push and
+// pop sift exactly as container/heap does (same comparisons, same swaps).
 type kinHeap []kinItem
 
-func (h kinHeap) Len() int           { return len(h) }
-func (h kinHeap) Less(i, j int) bool { return h[i].due < h[j].due }
-func (h kinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *kinHeap) Push(x any)        { *h = append(*h, x.(kinItem)) }
-func (h *kinHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h *kinHeap) push(it kinItem) {
+	*h = append(*h, it)
+	s := *h
+	j := len(s) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].due < s[i].due) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *kinHeap) pop() kinItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].due < s[j1].due {
+			j = j2 // right child
+		}
+		if !(s[j].due < s[i].due) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	it := s[n]
+	*h = s[:n]
+	return it
+}
 
 type kinetic struct {
 	src  KineticSource
@@ -419,7 +457,7 @@ func (kn *kinetic) scheduleCert(idx int32, t time.Duration, pu, pv geo.Point) {
 	if due <= t {
 		due = t + 1
 	}
-	heap.Push(&kn.heap, kinItem{due: due, id: idx, gen: st.gen})
+	kn.heap.push(kinItem{due: due, id: idx, gen: st.gen})
 }
 
 // scheduleRebin schedules the time by which node u must re-anchor: before
@@ -443,7 +481,7 @@ func (kn *kinetic) scheduleRebin(u int32, t time.Duration, pos []geo.Point) {
 		due = t + 1
 	}
 	kn.rebinGen[u]++
-	heap.Push(&kn.heap, kinItem{due: due, id: ^u, gen: kn.rebinGen[u]})
+	kn.heap.push(kinItem{due: due, id: ^u, gen: kn.rebinGen[u]})
 }
 
 // processRebin re-anchors node u if it drifted meaningfully, rescans its
@@ -519,7 +557,7 @@ func (kn *kinetic) processPair(idx int32, t time.Duration, pos []geo.Point) {
 // without one (mid-window driver) they use analytic peeks.
 func (kn *kinetic) drainUntil(t time.Duration, pos []geo.Point) {
 	for len(kn.heap) > 0 && kn.heap[0].due <= t {
-		it := heap.Pop(&kn.heap).(kinItem)
+		it := kn.heap.pop()
 		if it.id >= 0 {
 			st := &kn.pairs[it.id]
 			if st.dead || st.gen != it.gen {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -323,5 +324,43 @@ func TestKineticIsBehaviourallyInvisible(t *testing.T) {
 			t.Fatalf("delivery %d diverges:\nkinetic: %+v\nserial:  %+v",
 				i, on.deliveries[i], off.deliveries[i])
 		}
+	}
+}
+
+// refKinHeap is container/heap's view of the certificate queue, the
+// reference kinHeap's tie order must reproduce.
+type refKinHeap []kinItem
+
+func (h refKinHeap) Len() int           { return len(h) }
+func (h refKinHeap) Less(i, j int) bool { return h[i].due < h[j].due }
+func (h refKinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refKinHeap) Push(x any)        { *h = append(*h, x.(kinItem)) }
+func (h *refKinHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// TestKinHeapMatchesContainerHeap pins that the typed certificate heap
+// pops equal-due entries in exactly container/heap's order: the drain
+// order of same-instant checks decides the order link flips are logged.
+func TestKinHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var got kinHeap
+	var ref refKinHeap
+	for op := 0; op < 20000; op++ {
+		if len(got) == 0 || rng.Intn(5) < 3 {
+			it := kinItem{due: time.Duration(rng.Intn(16)), id: int32(op)}
+			got.push(it)
+			heap.Push(&ref, it)
+			continue
+		}
+		if a, b := got.pop(), heap.Pop(&ref).(kinItem); a != b {
+			t.Fatalf("op %d: popped %+v, container/heap popped %+v", op, a, b)
+		}
+	}
+	if !slices.Equal(got, kinHeap(ref)) {
+		t.Fatal("heap layouts diverged")
 	}
 }

@@ -432,14 +432,20 @@ func (n *Network) Rebuilds() uint64 { return n.rebuilds }
 // TopologyStats returns the topology-maintenance counters: full rebuilds
 // vs kinetic incremental samples, link make/break events, certificate
 // checks, Verlet rebins, and route tables repaired vs dropped vs reset.
-func (n *Network) TopologyStats() TopologyStats { return n.topo }
+func (n *Network) TopologyStats() TopologyStats {
+	s := n.topo
+	if n.cached != nil {
+		s.RoutesRepaired, s.RoutesDropped = n.cached.RouteRepairs()
+	}
+	return s
+}
 
 // kineticSample produces the snapshot for a sample time via the kinetic
 // plane: drain every due certificate with the exact sampled positions,
 // convert the window's link flips plus the down-mask delta into CSR edge
-// diffs, repack the CSR from the maintained adjacency rows, and repair
-// the surviving route tables against exactly those diffs. The first call
-// performs the one full build the plane ever does.
+// diffs, repack the CSR from the maintained adjacency rows, and log
+// exactly those diffs for the route tables to repair against when next
+// read. The first call performs the one full build the plane ever does.
 func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*radio.Graph, error) {
 	kn := n.kin
 	row := func(i int) []int32 { return kn.linkedAdj[i] }
@@ -456,9 +462,7 @@ func (n *Network) kineticSample(now time.Duration, down []bool, stamp uint64) (*
 	if err != nil {
 		return nil, err
 	}
-	repaired, dropped := g.PatchRoutes(n.diffBuf)
-	n.topo.RoutesRepaired += uint64(repaired)
-	n.topo.RoutesDropped += uint64(dropped)
+	g.PatchRoutes(n.diffBuf)
 	n.topo.KineticSamples++
 	kn.scheduleDriver(n.k)
 	return g, nil

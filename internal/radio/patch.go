@@ -5,9 +5,13 @@ import "fmt"
 // This file is the incremental half of the radio layer: the kinetic
 // topology plane (internal/netsim) maintains geometric adjacency rows
 // between snapshots and asks the builder to repack the CSR from them
-// without discarding the route cache, then repairs each memoized
-// distance table against the exact set of CSR edge changes instead of
-// rebuilding it from scratch.
+// without discarding the route cache, then hands over the exact set of
+// CSR edge changes. Memoized distance tables are repaired against those
+// changes on demand, the way DSR maintains a route only when it is used:
+// PatchRoutes merely appends the sample's diffs to a per-graph log, and
+// the first read of a stale table (routeTo) repairs it once against every
+// diff logged since the table was last current. A table that is never
+// read again costs nothing until it falls too far behind and is dropped.
 //
 // The repair is the textbook two-phase dynamic-BFS update for unit
 // weights:
@@ -24,10 +28,18 @@ import "fmt"
 //   seeded by the endpoints of added edges and by the surviving
 //   frontier around the invalidated region restores exact distances.
 //
+// Both phases stay exact for any superset of the true changes, which is
+// what a log spanning several samples is: an edge that flipped more than
+// once appears with both signs. Phase 1 re-checks both endpoints of every
+// logged removal against the new adjacency, so a spurious re-check only
+// confirms a witness, and phase 2 relaxes over the new adjacency only, so
+// an over-seeded endpoint lowers nothing that is already exact.
+//
 // Final distances equal a fresh BFS on the new graph, so NextHop —
 // which reads only distances plus the current adjacency — answers
 // exactly as if the table had been rebuilt. The property tests in
-// patch_test.go pin that equality on random mobile histories.
+// patch_test.go pin that equality on random mobile histories read at
+// random intervals.
 
 // EdgeDiff is one undirected CSR edge change between two snapshots.
 type EdgeDiff struct {
@@ -39,7 +51,7 @@ type EdgeDiff struct {
 // neighbour rows (sorted ascending, including rows for down nodes),
 // filtering out edges with a down endpoint exactly as the full builds
 // do — and, unlike Build, it keeps the memoized route tables alive so
-// the caller can repair them with PatchRoutes. The first call (or a
+// the caller can log the edge changes with PatchRoutes. The first call (or a
 // call with a different node count) behaves like a full build with an
 // empty cache.
 func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bool, commRange float64, stamp uint64) (*Graph, error) {
@@ -51,9 +63,7 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 	}
 	g := &b.g
 	if g.n != n {
-		g.dist = nil
-		g.built = g.built[:0]
-		g.distPool = nil
+		g.discardRoutes()
 		g.n = n
 		g.cacheOn = true
 	}
@@ -90,39 +100,65 @@ func (b *GraphBuilder) RebuildFromRows(n int, row func(i int) []int32, down []bo
 }
 
 // repairLimit caps how much of a table phase 1 may invalidate before the
-// repair is abandoned and the table dropped for lazy rebuild: past a
-// quarter of the graph a fresh BFS is cheaper than the two-phase update.
+// repair is abandoned and the table rebuilt by BFS: past a quarter of the
+// graph a fresh BFS is cheaper than the two-phase update. It also bounds
+// how many logged diffs a table may fall behind before it is dropped.
 func (g *Graph) repairLimit() int { return g.n/4 + 8 }
 
-// PatchRoutes repairs every memoized distance table against the CSR edge
-// changes applied by the latest RebuildFromRows. It must be called after
-// the repack (both phases walk the new adjacency). Tables whose affected
-// region exceeds the repair limit are dropped and rebuilt lazily on next
-// use. Returns how many tables were repaired in place and how many were
-// dropped.
-func (g *Graph) PatchRoutes(diffs []EdgeDiff) (repaired, dropped int) {
-	if len(diffs) == 0 || len(g.built) == 0 {
-		return 0, 0
+// PatchRoutes logs the CSR edge changes applied by the latest
+// RebuildFromRows; each memoized table is repaired against them when it
+// is next read. Tables more than repairLimit diffs behind are dropped
+// (rebuilt by BFS if read again), and the log is trimmed to what the
+// stalest surviving table still needs, which keeps it O(n).
+func (g *Graph) PatchRoutes(diffs []EdgeDiff) {
+	if len(g.built) == 0 {
+		g.routeLog = g.routeLog[:0]
+		return
 	}
+	if len(diffs) == 0 {
+		return
+	}
+	g.routeLog = append(g.routeLog, diffs...)
+	end := int32(len(g.routeLog))
+	limit := int32(g.repairLimit())
+	oldest := end
 	kept := g.built[:0]
 	for _, dst := range g.built {
-		d := g.dist[dst]
-		if g.repairTable(d, diffs) {
-			kept = append(kept, dst)
-			repaired++
-		} else {
-			g.distPool = append(g.distPool, d)
+		at := g.logAt[dst]
+		if end-at > limit {
+			g.distPool = append(g.distPool, g.dist[dst])
 			g.dist[dst] = nil
-			dropped++
+			g.dropped++
+			continue
 		}
+		kept = append(kept, dst)
+		oldest = min(oldest, at)
 	}
 	g.built = kept
-	return repaired, dropped
+	if oldest > 0 {
+		g.routeLog = g.routeLog[:copy(g.routeLog, g.routeLog[oldest:])]
+		for _, dst := range g.built {
+			g.logAt[dst] -= oldest
+		}
+	}
+}
+
+// repairOnRead brings dst's table d up to date with every diff logged
+// since it was last current: two-phase repair, or a BFS rebuild into the
+// same slice when the affected region exceeds the repair limit.
+func (g *Graph) repairOnRead(d []int32, dst int) {
+	if g.repairTable(d, g.routeLog[g.logAt[dst]:]) {
+		g.repaired++
+	} else {
+		g.bfsInto(d, dst)
+		g.dropped++
+	}
+	g.logAt[dst] = int32(len(g.routeLog))
 }
 
 // repairTable applies the two-phase update to one distance table.
 // Returns false when the affected region exceeded the repair limit (the
-// table's contents are then unspecified and it must be dropped).
+// table's contents are then unspecified and it must be rebuilt).
 func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 	limit := g.repairLimit()
 	invalidated := 0
@@ -224,5 +260,11 @@ func (g *Graph) repairTable(d []int32, diffs []EdgeDiff) bool {
 func (g *Graph) SetRouteTableCap(cap int) { g.tableCap = cap }
 
 // RouteTables returns how many memoized distance tables are currently
-// built — the population PatchRoutes repairs each snapshot.
+// live, current or awaiting repair on their next read.
 func (g *Graph) RouteTables() int { return len(g.built) }
+
+// RouteRepairs returns how many stale tables were repaired in place on
+// read, and how many were dropped or rebuilt instead because they fell
+// too far behind the log or the repair touched too much of the graph,
+// over the graph's lifetime.
+func (g *Graph) RouteRepairs() (repaired, dropped uint64) { return g.repaired, g.dropped }

@@ -48,6 +48,28 @@ func csrEdges(rows [][]int32, down []bool) map[uint64]bool {
 	return set
 }
 
+// edgeDiffs lists the CSR edge changes from prev to next in a fixed
+// order (additions, then removals, each by edge key).
+func edgeDiffs(prev, next map[uint64]bool) []EdgeDiff {
+	var diffs []EdgeDiff
+	for _, side := range []struct {
+		from, to map[uint64]bool
+		add      bool
+	}{{prev, next, true}, {next, prev, false}} {
+		var keys []uint64
+		for k := range side.to {
+			if !side.from[k] {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: side.add})
+		}
+	}
+	return diffs
+}
+
 // TestPatchRoutesMatchesFreshBFS drives a random mobile + churn history
 // through RebuildFromRows + PatchRoutes and checks, at every step, that
 // every repaired distance table answers Hops and NextHop exactly like a
@@ -96,17 +118,7 @@ func TestPatchRoutesMatchesFreshBFS(t *testing.T) {
 		rows = geoRows(pos, commRange)
 		next := csrEdges(rows, down)
 
-		var diffs []EdgeDiff
-		for k := range next {
-			if !prev[k] {
-				diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: true})
-			}
-		}
-		for k := range prev {
-			if !next[k] {
-				diffs = append(diffs, EdgeDiff{U: int32(k >> 32), V: int32(uint32(k)), Add: false})
-			}
-		}
+		diffs := edgeDiffs(prev, next)
 		prev = next
 
 		g, err = inc.RebuildFromRows(n, func(i int) []int32 { return rows[i] }, down, commRange, uint64(step))
@@ -164,5 +176,192 @@ func TestSmallBuildCutoffIdentical(t *testing.T) {
 				t.Fatalf("n=%d node %d: grid/pairwise rows differ", n, i)
 			}
 		}
+	}
+}
+
+// lazyHistory is a random mobile + churn history fed to one builder: it
+// moves the nodes, flips down states, repacks the CSR and logs the exact
+// edge changes, exactly as the kinetic plane does at each sample.
+type lazyHistory struct {
+	t         *testing.T
+	rng       *rand.Rand
+	inc       *GraphBuilder
+	g         *Graph
+	pos       []geo.Point
+	down      []bool
+	rows      [][]int32
+	prev      map[uint64]bool
+	stamp     uint64
+	commRange float64
+	world     float64
+}
+
+// reset places n nodes afresh and repacks; a node-count change drops
+// every table and the log.
+func (h *lazyHistory) reset(n int) {
+	h.pos = make([]geo.Point, n)
+	for i := range h.pos {
+		h.pos[i] = geo.Point{X: h.rng.Float64() * h.world, Y: h.rng.Float64() * h.world}
+	}
+	h.down = make([]bool, n)
+	h.prev = nil
+	h.sample(0)
+}
+
+// sample drifts every node by up to ±jitter/2 metres per axis, flips
+// flips random down states, repacks and logs the resulting edge changes.
+func (h *lazyHistory) sample(jitter float64, flips ...int) {
+	for i := range h.pos {
+		h.pos[i].X += (h.rng.Float64() - 0.5) * jitter
+		h.pos[i].Y += (h.rng.Float64() - 0.5) * jitter
+	}
+	for _, i := range flips {
+		h.down[i] = !h.down[i]
+	}
+	h.rows = geoRows(h.pos, h.commRange)
+	next := csrEdges(h.rows, h.down)
+	h.stamp++
+	g, err := h.inc.RebuildFromRows(len(h.pos), func(i int) []int32 { return h.rows[i] }, h.down, h.commRange, h.stamp)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.g = g
+	if h.prev != nil {
+		g.PatchRoutes(edgeDiffs(h.prev, next))
+	}
+	h.prev = next
+	if len(g.routeLog) > g.repairLimit() {
+		h.t.Fatalf("sample %d: log holds %d diffs, bound %d", h.stamp, len(g.routeLog), g.repairLimit())
+	}
+}
+
+// check compares every query touching the given destinations against a
+// fresh pairwise build of the same snapshot.
+func (h *lazyHistory) check(dsts []int) {
+	ref, err := NewGraphBuilder().BuildPairwise(h.pos, h.down, h.commRange, h.stamp)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	n := len(h.pos)
+	for _, dst := range dsts {
+		for src := 0; src < n; src++ {
+			if got, want := h.g.Hops(src, dst), ref.Hops(src, dst); got != want {
+				h.t.Fatalf("sample %d: Hops(%d,%d) = %d, fresh = %d", h.stamp, src, dst, got, want)
+			}
+			if got, want := h.g.NextHop(src, dst), ref.NextHop(src, dst); got != want {
+				h.t.Fatalf("sample %d: NextHop(%d,%d) = %d, fresh = %d", h.stamp, src, dst, got, want)
+			}
+		}
+	}
+}
+
+// TestLazyRepairMatchesFreshBFS is the exactness property of repair on
+// read: across random mobile histories where tables sit unread for
+// several samples, down states flip, bursts of motion push tables past
+// the pending bound, a small table cap forces FIFO eviction and the node
+// count changes midway, every Hops and NextHop answer equals a fresh BFS.
+func TestLazyRepairMatchesFreshBFS(t *testing.T) {
+	var repaired, dropped uint64
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := &lazyHistory{t: t, rng: rng, inc: NewGraphBuilder(), commRange: 180, world: 1000}
+		h.reset(60)
+		tableCap := 0
+		if seed%2 == 0 {
+			tableCap = 10
+		}
+		for step := 1; step <= 80; step++ {
+			if step == 40 {
+				h.reset(45 + rng.Intn(30))
+			}
+			n := len(h.pos)
+			jitter := 8.0
+			if rng.Intn(8) == 0 {
+				jitter = 200 // a burst: most tables fall past the pending bound
+			}
+			var flips []int
+			if rng.Intn(3) == 0 {
+				flips = append(flips, rng.Intn(n))
+			}
+			h.sample(jitter, flips...)
+			h.g.SetRouteTableCap(tableCap)
+			if tableCap > 0 && h.g.RouteTables() > tableCap {
+				t.Fatalf("seed %d step %d: %d live tables, cap %d", seed, step, h.g.RouteTables(), tableCap)
+			}
+			// Read only now and then, and only a few destinations, so
+			// tables go stale across several samples between reads.
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			dsts := make([]int, 1+rng.Intn(6))
+			for i := range dsts {
+				dsts[i] = rng.Intn(n)
+			}
+			h.check(dsts)
+		}
+		r, d := h.g.RouteRepairs()
+		repaired += r
+		dropped += d
+	}
+	if repaired == 0 || dropped == 0 {
+		t.Fatalf("repaired=%d dropped=%d: history never exercised both outcomes", repaired, dropped)
+	}
+}
+
+// TestUnreadTableCostsNoRepair pins the point of repair on read: samples
+// that nobody routes through between them cost nothing per table, the
+// stale tables are dropped once the log outgrows the pending bound, and a
+// table read after several samples is repaired exactly once.
+func TestUnreadTableCostsNoRepair(t *testing.T) {
+	h := &lazyHistory{t: t, rng: rand.New(rand.NewSource(3)), inc: NewGraphBuilder(), commRange: 180, world: 1000}
+	h.reset(60)
+	dsts := []int{2, 17, 33, 48}
+	h.check(dsts)
+	if got := h.g.RouteTables(); got != len(dsts) {
+		t.Fatalf("%d tables after warm-up, want %d", got, len(dsts))
+	}
+
+	// Quiet samples: tables fall behind but stay live and untouched.
+	for i := 0; i < 3; i++ {
+		h.sample(10)
+	}
+	if len(h.g.routeLog) == 0 {
+		t.Fatal("quiet samples logged no edge change; history too static")
+	}
+	if r, d := h.g.RouteRepairs(); r != 0 || d != 0 {
+		t.Fatalf("unread samples cost repaired=%d dropped=%d, want none", r, d)
+	}
+	if got := h.g.RouteTables(); got != len(dsts) {
+		t.Fatalf("%d tables after quiet samples, want %d", got, len(dsts))
+	}
+
+	// One read repairs its table once, against every logged sample.
+	h.check(dsts[:1])
+	if r, _ := h.g.RouteRepairs(); r != 1 {
+		t.Fatalf("one table read: repaired=%d, want 1", r)
+	}
+	h.check(dsts[:1])
+	if r, _ := h.g.RouteRepairs(); r != 1 {
+		t.Fatalf("current table re-read: repaired=%d, want still 1", r)
+	}
+
+	// Past the pending bound every table is dropped without repair, and
+	// the log empties.
+	for i := 0; h.g.RouteTables() > 0; i++ {
+		if i == 50 {
+			t.Fatalf("%d tables still live after %d samples", h.g.RouteTables(), i)
+		}
+		h.sample(40)
+	}
+	r, d := h.g.RouteRepairs()
+	if r != 1 || d != uint64(len(dsts)) {
+		t.Fatalf("after the bound: repaired=%d dropped=%d, want 1 and %d", r, d, len(dsts))
+	}
+	if len(h.g.routeLog) != 0 {
+		t.Fatalf("log holds %d diffs with no live table", len(h.g.routeLog))
+	}
+	h.check(dsts)
+	if r2, _ := h.g.RouteRepairs(); r2 != r {
+		t.Fatalf("rebuilt tables were repaired: %d -> %d", r, r2)
 	}
 }

@@ -10,10 +10,11 @@
 // destination runs one BFS from that destination and memoizes the hop
 // distances; every later hop of every message to the same destination is
 // an O(degree) scan over the source's neighbour list. The cache lives on
-// the snapshot itself, so it is implicitly keyed by the snapshot stamp and
-// can never serve distances from a stale topology. Graphs are not safe for
-// concurrent use; like the rest of the simulator they live on a single
-// kernel goroutine.
+// the snapshot itself, so it can never serve distances from a stale
+// topology: a full Build resets it, and the kinetic repack keeps the
+// tables but repairs each one against the logged edge changes on its next
+// read (patch.go). Graphs are not safe for concurrent use; like the rest
+// of the simulator they live on a single kernel goroutine.
 package radio
 
 import (
@@ -38,13 +39,21 @@ type Graph struct {
 	// distPool across snapshot rebuilds by the owning GraphBuilder.
 	cacheOn  bool
 	dist     [][]int32
-	built    []int32   // destinations with a table built this snapshot
+	built    []int32   // destinations with a live table, in build order
 	distPool [][]int32 // spare distance tables
 	queue    []int32   // shared BFS scratch queue
 	tableCap int       // max live tables (0 = unlimited), FIFO eviction
 
+	// Lazy repair (see patch.go): routeLog holds the CSR edge diffs of
+	// the samples since the stalest live table was last current, and
+	// logAt[dst] is the log offset at which dst's table is current.
+	// repaired/dropped count repair outcomes over the graph's lifetime.
+	routeLog          []EdgeDiff
+	logAt             []int32
+	repaired, dropped uint64
+
 	// repairBuckets is the level-ordered relaxation queue reused by
-	// PatchRoutes (see patch.go).
+	// repairTable (see patch.go).
 	repairBuckets [][]int32
 }
 
@@ -128,12 +137,17 @@ func (g *Graph) HopsFrom(src int) []int {
 }
 
 // routeTo returns the memoized hop-distance table toward dst, building it
-// with one BFS on first use this snapshot.
+// with one BFS on first use and bringing it up to date with the samples
+// logged since it was last read (see patch.go).
 func (g *Graph) routeTo(dst int) []int32 {
 	if g.dist == nil {
 		g.dist = make([][]int32, g.n)
+		g.logAt = make([]int32, g.n)
 	}
 	if d := g.dist[dst]; d != nil {
+		if int(g.logAt[dst]) < len(g.routeLog) {
+			g.repairOnRead(d, dst)
+		}
 		return d
 	}
 	if g.tableCap > 0 && len(g.built) >= g.tableCap {
@@ -152,10 +166,19 @@ func (g *Graph) routeTo(dst int) []int32 {
 	} else {
 		d = make([]int32, g.n)
 	}
+	g.bfsInto(d, dst)
+	g.dist[dst] = d
+	g.logAt[dst] = int32(len(g.routeLog))
+	g.built = append(g.built, int32(dst))
+	return d
+}
+
+// bfsInto fills d with every node's hop distance to dst by one BFS over
+// the CSR rows, reusing the shared scratch queue.
+func (g *Graph) bfsInto(d []int32, dst int) {
 	for i := range d {
 		d[i] = Unreachable
 	}
-	// BFS from dst over the CSR rows, reusing the shared scratch queue.
 	d[dst] = 0
 	q := g.queue[:0]
 	q = append(q, int32(dst))
@@ -170,19 +193,26 @@ func (g *Graph) routeTo(dst int) []int32 {
 		}
 	}
 	g.queue = q
-	g.dist[dst] = d
-	g.built = append(g.built, int32(dst))
-	return d
 }
 
 // resetRoutes returns every distance table built for this snapshot to the
-// pool; the builder calls it before reusing the graph for a new topology.
+// pool and clears the repair log; the builder calls it before reusing the
+// graph for an unrelated topology.
 func (g *Graph) resetRoutes() {
 	for _, dst := range g.built {
 		g.distPool = append(g.distPool, g.dist[dst])
 		g.dist[dst] = nil
 	}
 	g.built = g.built[:0]
+	g.routeLog = g.routeLog[:0]
+}
+
+// discardRoutes drops every table, the pool and the repair log. Tables
+// are length-bound to n, so the builder calls it when n changes.
+func (g *Graph) discardRoutes() {
+	g.dist, g.logAt, g.distPool = nil, nil, nil
+	g.built = g.built[:0]
+	g.routeLog = g.routeLog[:0]
 }
 
 // Hops returns the BFS hop distance from src to dst, or Unreachable. With

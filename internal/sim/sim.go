@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,7 +38,6 @@ type Event struct {
 	seq    uint64
 	fn     Handler
 	label  string
-	index  int // heap index, -1 once popped or cancelled
 	fired  bool
 	cancel bool
 }
@@ -56,38 +54,64 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // Fired reports whether the event's handler has run.
 func (e *Event) Fired() bool { return e.fired }
 
-// eventQueue implements heap.Interface ordered by (when, seq).
+// eventQueue is a binary min-heap of events ordered by (when, seq).
+// The order is total — seq is unique per kernel — so the pop sequence
+// is fully determined by the events pushed, whatever the heap layout.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// before reports whether e is due ahead of o.
+func (e *Event) before(o *Event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// push inserts e, sifting a hole up from the new leaf.
+func (q *eventQueue) push(e *Event) {
+	h := append(*q, e)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = e
+	*q = h
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// pop removes and returns the earliest event; the queue must be
+// non-empty. The last leaf fills the root's hole and sifts down.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(x) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = x
+	}
+	*q = h
+	return top
 }
 
 // Kernel is a single-threaded discrete-event simulator. It is not safe for
@@ -178,7 +202,7 @@ func (k *Kernel) At(t time.Duration, label string, fn Handler) (*Event, error) {
 	e := k.acquire()
 	e.when, e.seq, e.fn, e.label = t, k.seq, fn, label
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	return e, nil
 }
 
@@ -190,10 +214,10 @@ func (k *Kernel) acquire() *Event {
 		e := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		*e = Event{index: -1}
+		*e = Event{}
 		return e
 	}
-	return &Event{index: -1}
+	return &Event{}
 }
 
 // recycle returns a popped event to the freelist. The handler reference
@@ -260,7 +284,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run() time.Duration {
 	k.stopped = false
 	for len(k.queue) > 0 && !k.stopped {
-		e := heap.Pop(&k.queue).(*Event)
+		e := k.queue.pop()
 		if e.cancel {
 			k.recycle(e)
 			continue
@@ -294,7 +318,7 @@ func (k *Kernel) RunUntil(t time.Duration) {
 		if e.when > t {
 			break
 		}
-		heap.Pop(&k.queue)
+		k.queue.pop()
 		if e.cancel {
 			k.recycle(e)
 			continue

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -389,5 +392,126 @@ func TestNextEventAt(t *testing.T) {
 	k.RunUntil(10 * time.Second)
 	if _, ok := k.NextEventAt(); ok {
 		t.Fatal("drained queue reported a next event")
+	}
+}
+
+// TestFireOrderMatchesSortProperty drives random schedules through the
+// kernel: many events share an instant, handlers schedule follow-ups
+// (some at the current instant) and cancel pending events, the run is
+// stepped with RunUntil and finished with Run, sometimes under a
+// horizon. The fired sequence must be exactly the non-cancelled events
+// due by the horizon, sorted by (when, scheduling order).
+func TestFireOrderMatchesSortProperty(t *testing.T) {
+	type ev struct {
+		when time.Duration
+		id   int
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var horizon time.Duration
+		if rng.Intn(2) == 0 {
+			horizon = time.Duration(20+rng.Intn(40)) * time.Millisecond
+		}
+		k := NewKernel(WithHorizon(horizon))
+		instant := func() time.Duration { return time.Duration(rng.Intn(60)) * time.Millisecond }
+
+		var scheduled, fired []ev
+		cancelled := make(map[int]bool)
+		pending := make(map[int]*Event) // handles safe to cancel: not yet fired or collected
+		var schedule func(at time.Duration)
+		var cancelOne func()
+		schedule = func(at time.Duration) {
+			id := len(scheduled)
+			scheduled = append(scheduled, ev{at, id})
+			e, err := k.At(at, "p", func(kk *Kernel) {
+				delete(pending, id)
+				if kk.Now() != at {
+					t.Fatalf("seed %d: event %d due %v fired at %v", seed, id, at, kk.Now())
+				}
+				fired = append(fired, ev{at, id})
+				switch rng.Intn(4) {
+				case 0:
+					schedule(kk.Now()) // same instant: fires after every earlier-scheduled tie
+				case 1:
+					schedule(kk.Now() + instant()/4)
+				case 2:
+					cancelOne()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending[id] = e
+		}
+		cancelOne = func() {
+			if len(pending) == 0 {
+				return
+			}
+			ids := make([]int, 0, len(pending))
+			for id := range pending {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			id := ids[rng.Intn(len(ids))]
+			if !k.Cancel(pending[id]) {
+				t.Fatalf("seed %d: Cancel of pending event %d failed", seed, id)
+			}
+			cancelled[id] = true
+			delete(pending, id)
+		}
+
+		for i := 0; i < 40; i++ {
+			schedule(instant())
+		}
+		limit := 60 * time.Millisecond
+		if horizon > 0 {
+			limit = horizon // RunUntil ignores the horizon; Run enforces it
+		}
+		for step := time.Duration(0); step < limit; step += time.Duration(1+rng.Intn(10)) * time.Millisecond {
+			k.RunUntil(step)
+			if rng.Intn(2) == 0 {
+				cancelOne()
+			}
+			if rng.Intn(2) == 0 {
+				schedule(k.Now() + instant()/2)
+			}
+		}
+		k.Run()
+
+		var want []ev
+		for _, e := range scheduled {
+			if !cancelled[e.id] && (horizon == 0 || e.when <= horizon) {
+				want = append(want, e)
+			}
+		}
+		slices.SortFunc(want, func(a, b ev) int {
+			return cmp.Or(cmp.Compare(a.when, b.when), cmp.Compare(a.id, b.id))
+		})
+		if !slices.Equal(fired, want) {
+			t.Fatalf("seed %d: fired %v\nwant  %v", seed, fired, want)
+		}
+		if k.EventsFired() != uint64(len(fired)) {
+			t.Fatalf("seed %d: EventsFired %d, fired %d", seed, k.EventsFired(), len(fired))
+		}
+	}
+}
+
+// TestSteadyStateSchedulingDeepQueueDoesNotAllocate pins the kernel's
+// allocation contract with a deep backlog, so every After and every fire
+// sifts through several heap levels.
+func TestSteadyStateSchedulingDeepQueueDoesNotAllocate(t *testing.T) {
+	k := NewKernel()
+	fn := func(*Kernel) {}
+	for i := 0; i < 1024; i++ {
+		k.After(time.Hour+time.Duration(i), "backlog", fn)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		k.After(time.Millisecond, "hot", fn)
+		k.RunUntil(k.Now() + time.Millisecond)
+	}); avg != 0 {
+		t.Errorf("steady-state After+fire over a deep queue allocates %.2f/op, want 0", avg)
+	}
+	if k.Pending() != 1024 {
+		t.Fatalf("backlog %d, want 1024", k.Pending())
 	}
 }
