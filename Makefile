@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check golden bench bench-hotpath bench-compare bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke clean
+.PHONY: all build test perfbench-test race vet check golden bench bench-hotpath bench-compare bench-wire bench-scale figures telemetry-smoke chaos-smoke conform-smoke policy-smoke wire-smoke wire-chaos-smoke scale-smoke trace-smoke clean
 
 all: check
 
@@ -13,18 +13,26 @@ build:
 test:
 	$(GO) test ./...
 
+# The benchmark's own tests. perfbench/ is a separate module, so the root
+# `go test ./...` never enters it; these tests pin the benchmark's
+# decorated stack and its answer ledger against experiment.Run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Race-detector pass over the packages that exercise concurrency or
 # carry the hot-path buffer reuse: the fleet orchestrator (real
 # simulations on parallel workers), the kernel with its event freelist,
 # the pooled network layer, the reused radio snapshot builder, and the
-# stats merge.
+# live daemons. It also proves the lock-free ledgers (stats.Traffic and
+# Latency, energy.Battery, consistency.Auditor) stay confined to their
+# kernel goroutines.
 race:
 	$(GO) test -race ./internal/fleet/ ./internal/sim/ ./internal/stats/ ./internal/experiment/ ./internal/netsim/ ./internal/radio/ ./internal/wire/ ./internal/wire/cluster/ ./internal/oracle/
 
 vet:
 	$(GO) vet ./...
 
-check: build vet test race
+check: build vet test perfbench-test race
 
 # Golden-figures gate: the 1 h paper suite at seed 1 must reproduce the
 # committed figures_1h.txt byte for byte (≈19 s on 2 cores).

@@ -211,8 +211,14 @@ func run() error {
 		os.Exit(3)
 	}
 	stopErr := nd.Stop(*drain)
+	if !nd.Drained() {
+		// The kernel goroutine missed the drain deadline and may still
+		// be running, so the hub and trace collector it writes cannot be
+		// read. The summary then carries only the failure.
+		fmt.Println(nd.Summary())
+		return stopErr
+	}
 
-	// Flush sinks even on an unclean drain — partial telemetry beats none.
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, hub.Snapshot()); err != nil {
 			return err

@@ -11,7 +11,6 @@ package consistency
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/manetlab/rpcc/internal/data"
@@ -97,8 +96,12 @@ func (v Violation) String() string {
 }
 
 // Auditor cross-checks answers against the master registry.
+//
+// An Auditor holds no lock: it is confined to the kernel goroutine whose
+// handlers serve the answers it checks (the simulation's kernel, or a
+// live daemon's clock goroutine). Read its tallies from another
+// goroutine only after that kernel has stopped.
 type Auditor struct {
-	mu       sync.Mutex
 	registry *data.Registry
 	delta    time.Duration
 	// slack forgives staleness up to the message in-flight time: a copy
@@ -184,9 +187,7 @@ func (a *Auditor) CheckStale(ans Answer) (Violation, time.Duration, error) {
 		if serr != nil {
 			return ViolationNone, 0, serr
 		}
-		a.mu.Lock()
 		a.staleness = append(a.staleness, stale)
-		a.mu.Unlock()
 		switch ans.Level {
 		case LevelStrong:
 			if stale > a.slack {
@@ -199,8 +200,6 @@ func (a *Auditor) CheckStale(ans Answer) (Violation, time.Duration, error) {
 		}
 	}
 
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.answers++
 	if v != ViolationNone {
 		a.violations[v]++
@@ -213,22 +212,16 @@ func (a *Auditor) CheckStale(ans Answer) (Violation, time.Duration, error) {
 
 // Answers returns the number of audited answers.
 func (a *Auditor) Answers() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.answers
 }
 
 // Violations returns the count for one violation class.
 func (a *Auditor) Violations(v Violation) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.violations[v]
 }
 
 // TotalViolations sums all violation classes.
 func (a *Auditor) TotalViolations() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var sum uint64
 	for _, n := range a.violations {
 		sum += n
@@ -238,8 +231,6 @@ func (a *Auditor) TotalViolations() uint64 {
 
 // MeanStaleness returns the mean staleness across audited answers.
 func (a *Auditor) MeanStaleness() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if len(a.staleness) == 0 {
 		return 0
 	}
@@ -252,8 +243,6 @@ func (a *Auditor) MeanStaleness() time.Duration {
 
 // MaxStaleness returns the worst staleness across audited answers.
 func (a *Auditor) MaxStaleness() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var m time.Duration
 	for _, s := range a.staleness {
 		if s > m {
@@ -265,8 +254,6 @@ func (a *Auditor) MaxStaleness() time.Duration {
 
 // Worst returns up to the first 16 violating answers for diagnostics.
 func (a *Auditor) Worst() []Answer {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make([]Answer, len(a.worst))
 	copy(out, a.worst)
 	return out
@@ -274,22 +261,5 @@ func (a *Auditor) Worst() []Answer {
 
 // String summarises the audit.
 func (a *Auditor) String() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var viol uint64
-	for _, n := range a.violations {
-		viol += n
-	}
-	return fmt.Sprintf("answers=%d violations=%d meanStale=%v", a.answers, viol, a.meanStalenessLocked())
-}
-
-func (a *Auditor) meanStalenessLocked() time.Duration {
-	if len(a.staleness) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range a.staleness {
-		sum += s
-	}
-	return sum / time.Duration(len(a.staleness))
+	return fmt.Sprintf("answers=%d violations=%d meanStale=%v", a.answers, a.TotalViolations(), a.MeanStaleness())
 }

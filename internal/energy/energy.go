@@ -8,7 +8,6 @@ package energy
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -46,11 +45,13 @@ func (c Config) Validate() error {
 
 // Battery tracks one host's remaining energy. Idle drain is applied lazily
 // on each query/charge using the last-settled timestamp, so no periodic
-// events are needed. Battery is safe for concurrent use; the simulator is
-// single-threaded but metric readers (tests, the stats exporter) may probe
-// from other goroutines.
+// events are needed.
+//
+// A Battery holds no lock: it belongs to the kernel goroutine of the
+// simulation it is assembled into, which is the only goroutine that
+// charges it. Read it from another goroutine only after that kernel has
+// stopped running (a finished run, a fleet worker's returned result).
 type Battery struct {
-	mu        sync.Mutex
 	cfg       Config
 	remaining float64
 	settledAt time.Duration
@@ -65,8 +66,8 @@ func NewBattery(cfg Config) (*Battery, error) {
 	return &Battery{cfg: cfg, remaining: cfg.Capacity}, nil
 }
 
-// settleLocked applies idle drain up to now. Callers hold mu.
-func (b *Battery) settleLocked(now time.Duration) {
+// settle applies idle drain up to now.
+func (b *Battery) settle(now time.Duration) {
 	if now <= b.settledAt {
 		return
 	}
@@ -80,9 +81,7 @@ func (b *Battery) settleLocked(now time.Duration) {
 
 // SpendTx charges one transmission at virtual time now.
 func (b *Battery) SpendTx(now time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.settleLocked(now)
+	b.settle(now)
 	b.remaining -= b.cfg.TxCost
 	if b.remaining < 0 {
 		b.remaining = 0
@@ -92,9 +91,7 @@ func (b *Battery) SpendTx(now time.Duration) {
 
 // SpendRx charges one reception at virtual time now.
 func (b *Battery) SpendRx(now time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.settleLocked(now)
+	b.settle(now)
 	b.remaining -= b.cfg.RxCost
 	if b.remaining < 0 {
 		b.remaining = 0
@@ -104,9 +101,7 @@ func (b *Battery) SpendRx(now time.Duration) {
 
 // Level returns the remaining energy at time now, after idle drain.
 func (b *Battery) Level(now time.Duration) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.settleLocked(now)
+	b.settle(now)
 	return b.remaining
 }
 
@@ -121,7 +116,5 @@ func (b *Battery) Depleted(now time.Duration) bool { return b.Level(now) <= 0 }
 
 // Counters returns the lifetime transmit and receive counts.
 func (b *Battery) Counters() (tx, rx uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.tx, b.rx
 }

@@ -143,24 +143,33 @@ func (n *Network) rreqTransmit(node, target int, path []int, st *floodState, ttl
 		}
 		st.visited[v] = true
 		st.pending++
-		v := v
 		// Each receiver gets its own copy of the grown path.
 		grown := make([]int, len(path)+1)
 		copy(grown, path)
 		grown[len(path)] = v
-		n.k.After(delay, "dsr.rreq", func(*sim.Kernel) {
-			if n.Up(v) && !n.cut(node, v) && !n.lost() {
-				n.spendRx(v)
-				if v == target {
-					n.dsrReply(grown)
-				} else {
-					n.rreqTransmit(v, target, grown, st, ttl-1)
-				}
-			}
-			if st.pending--; st.pending == 0 {
-				n.releaseFlood(st)
-			}
-		})
+		f := n.acquireFrame()
+		f.msg = req
+		f.msg.Path = grown
+		f.from, f.to, f.dst, f.ttl, f.st = node, v, target, ttl, st
+		n.k.After(delay, "dsr.rreq", f.onRREQ)
+	}
+}
+
+// rreq fires when a route request lands at a neighbour of its
+// transmitter: the target replies, anyone else rebroadcasts.
+func (f *frame) rreq(*sim.Kernel) {
+	n, grown, node, v, target, ttl, st := f.n, f.msg.Path, f.from, f.to, f.dst, f.ttl, f.st
+	n.releaseFrame(f)
+	if n.Up(v) && !n.cut(node, v) && !n.lost() {
+		n.spendRx(v)
+		if v == target {
+			n.dsrReply(grown)
+		} else {
+			n.rreqTransmit(v, target, grown, st, ttl-1)
+		}
+	}
+	if st.pending--; st.pending == 0 {
+		n.releaseFlood(st)
 	}
 }
 
@@ -231,37 +240,45 @@ func (n *Network) dsrForward(msg protocol.Message, idx int, sentAt time.Duration
 	}
 	n.traffic.RecordTx(msg.Kind, msg.Size())
 	n.spendTx(cur)
-	n.k.After(n.txDelay(cur, msg.Size()), "dsr.hop", func(*sim.Kernel) {
-		switch {
-		case !n.Up(next):
-			n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-			n.dsrRouteError(msg, cur, idx)
-			return
-		case n.cut(cur, next):
-			n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
-			n.dsrRouteError(msg, cur, idx)
-			return
-		case n.lost():
-			n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
-			n.dsrRouteError(msg, cur, idx)
-			return
+	f := n.acquireFrame()
+	f.msg, f.from, f.to, f.hops, f.sentAt = msg, cur, next, idx, sentAt
+	n.k.After(n.txDelay(cur, msg.Size()), "dsr.hop", f.onDSRHop)
+}
+
+// dsrHop fires when a source-routed frame lands at path[hops+1].
+func (f *frame) dsrHop(*sim.Kernel) {
+	n, msg, cur, next, idx, sentAt := f.n, f.msg, f.from, f.to, f.hops, f.sentAt
+	n.releaseFrame(f)
+	path := msg.Path
+	switch {
+	case !n.Up(next):
+		n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
+		n.dsrRouteError(msg, cur, idx)
+		return
+	case n.cut(cur, next):
+		n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
+		n.dsrRouteError(msg, cur, idx)
+		return
+	case n.lost():
+		n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
+		n.dsrRouteError(msg, cur, idx)
+		return
+	}
+	n.spendRx(next)
+	if idx+2 == len(path) {
+		// Final hop: routing control is consumed by the layer, data
+		// goes up to the receiver.
+		switch msg.Kind {
+		case protocol.KindRREP:
+			n.dsrHandleRREP(next, msg)
+		case protocol.KindRERR:
+			n.dsrHandleRERR(next, msg)
+		default:
+			n.deliverUnicast(next, msg, len(path)-1, sentAt)
 		}
-		n.spendRx(next)
-		if idx+2 == len(path) {
-			// Final hop: routing control is consumed by the layer, data
-			// goes up to the receiver.
-			switch msg.Kind {
-			case protocol.KindRREP:
-				n.dsrHandleRREP(next, msg)
-			case protocol.KindRERR:
-				n.dsrHandleRERR(next, msg)
-			default:
-				n.deliverUnicast(next, msg, len(path)-1, sentAt)
-			}
-			return
-		}
-		n.dsrForward(msg, idx+1, sentAt)
-	})
+		return
+	}
+	n.dsrForward(msg, idx+1, sentAt)
 }
 
 // dsrRouteError notifies the route origin that the link after position

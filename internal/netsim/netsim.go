@@ -265,6 +265,10 @@ type Network struct {
 	// state returns to the pool once its last in-flight reception fires.
 	floodPool []*floodState
 
+	// framePool recycles in-air frames. A frame returns to the pool as
+	// soon as its reception or hop handler fires.
+	framePool []*frame
+
 	// rebuilds counts topology snapshot rebuilds (cache misses).
 	rebuilds uint64
 
@@ -680,23 +684,31 @@ func (n *Network) forward(cur, dst int, msg protocol.Message, hops int, sentAt t
 	}
 	n.traffic.RecordTx(msg.Kind, msg.Size())
 	n.spendTx(cur)
-	n.k.After(n.txDelay(cur, msg.Size()), "netsim.hop", func(*sim.Kernel) {
-		switch {
-		case !n.Up(next):
-			// Receiver flipped down while the frame was in the air.
-			n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-		case n.cut(cur, next):
-			n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
-		case n.lost():
-			n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
-		case next == dst:
-			n.spendRx(next)
-			n.deliverUnicast(dst, msg, hops+1, sentAt)
-		default:
-			n.spendRx(next)
-			n.forward(next, dst, msg, hops+1, sentAt)
-		}
-	})
+	f := n.acquireFrame()
+	f.msg, f.from, f.to, f.dst, f.hops, f.sentAt = msg, cur, next, dst, hops, sentAt
+	n.k.After(n.txDelay(cur, msg.Size()), "netsim.hop", f.onHop)
+}
+
+// hop fires when a unicast frame lands at its next hop: the frame goes
+// back to the pool, then the hop is dropped, delivered or relayed.
+func (f *frame) hop(*sim.Kernel) {
+	n, msg, cur, next, dst, hops, sentAt := f.n, f.msg, f.from, f.to, f.dst, f.hops, f.sentAt
+	n.releaseFrame(f)
+	switch {
+	case !n.Up(next):
+		// Receiver flipped down while the frame was in the air.
+		n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
+	case n.cut(cur, next):
+		n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
+	case n.lost():
+		n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
+	case next == dst:
+		n.spendRx(next)
+		n.deliverUnicast(dst, msg, hops+1, sentAt)
+	default:
+		n.spendRx(next)
+		n.forward(next, dst, msg, hops+1, sentAt)
+	}
 }
 
 // deliverUnicast completes a unicast's final hop, applying the delivery
@@ -707,6 +719,13 @@ func (n *Network) deliverUnicast(dst int, msg protocol.Message, hops int, sentAt
 		n.deliver(dst, msg, Meta{Hops: hops, At: n.k.Now(), SentAt: sentAt})
 		return
 	}
+	n.deliverFaulted(dst, msg, hops, sentAt)
+}
+
+// deliverFaulted is deliverUnicast under the delivery fault knobs. It is
+// a separate function because its delayed copies capture msg, which
+// would otherwise move every unicast's message to the heap.
+func (n *Network) deliverFaulted(dst int, msg protocol.Message, hops int, sentAt time.Duration) {
 	copies := 1
 	if n.dupProb > 0 && n.faultRand.Float64() < n.dupProb {
 		copies = 2
@@ -761,6 +780,48 @@ func (n *Network) releaseFlood(st *floodState) {
 	n.floodPool = append(n.floodPool, st)
 }
 
+// frame is one transmission in the air: a flood reception or a unicast
+// hop waiting on the kernel queue. Frames live on the network's
+// freelist, and each binds its handlers once, when it is first
+// allocated, so scheduling a frame allocates nothing. A handler copies
+// out the fields it needs and returns the frame to the pool before it
+// acts, so a relay can reuse the same frame for the next hop.
+type frame struct {
+	n   *Network
+	msg protocol.Message
+	// from and to are this hop's transmitter and receiver; dst is a
+	// unicast's (or a route request's) final destination.
+	from, to, dst int
+	// ttl is the flood TTL left at the transmitter; hops counts the
+	// link-level hops the message has crossed before this one.
+	ttl, hops int
+	// sentAt is a unicast's origination time; floods carry theirs in st.
+	sentAt time.Duration
+	st     *floodState
+
+	onFlood, onHop, onDSRHop, onRREQ sim.Handler
+}
+
+// acquireFrame pops a frame from the pool (or allocates and binds one).
+func (n *Network) acquireFrame() *frame {
+	if last := len(n.framePool) - 1; last >= 0 {
+		f := n.framePool[last]
+		n.framePool[last] = nil
+		n.framePool = n.framePool[:last]
+		return f
+	}
+	f := &frame{n: n}
+	f.onFlood, f.onHop, f.onDSRHop, f.onRREQ = f.flood, f.hop, f.dsrHop, f.rreq
+	return f
+}
+
+// releaseFrame pools a fired frame. It drops the message and flood state
+// so an idle frame pins no payload.
+func (n *Network) releaseFrame(f *frame) {
+	f.msg, f.st = protocol.Message{}, nil
+	n.framePool = append(n.framePool, f)
+}
+
 // Flood broadcasts msg from origin with the given TTL. Every distinct node
 // reached within TTL hops receives the message exactly once (duplicate
 // rebroadcasts are suppressed, as in standard MANET flooding). The origin
@@ -810,25 +871,34 @@ func (n *Network) transmitFlood(node, ttlLeft int, msg protocol.Message, st *flo
 		}
 		st.visited[v] = true
 		st.pending++
-		v := v
-		n.k.After(delay, "netsim.flood", func(*sim.Kernel) {
-			switch {
-			case !n.Up(v):
-				n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
-			case n.cut(node, v):
-				n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
-			case n.lost():
-				n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
-			default:
-				n.spendRx(v)
-				n.deliver(v, msg, Meta{Hops: hops + 1, At: n.k.Now(), SentAt: st.sentAt, Flood: true, FloodID: st.id})
-				if ttlLeft > 1 {
-					n.transmitFlood(v, ttlLeft-1, msg, st, hops+1)
-				}
-			}
-			if st.pending--; st.pending == 0 {
-				n.releaseFlood(st)
-			}
-		})
+		f := n.acquireFrame()
+		f.msg, f.from, f.to, f.ttl, f.hops, f.st = msg, node, v, ttlLeft, hops, st
+		n.k.After(delay, "netsim.flood", f.onFlood)
+	}
+}
+
+// flood fires when a flood frame lands at a neighbour of its
+// transmitter: the frame goes back to the pool, then the reception is
+// dropped or delivered and rebroadcast while TTL remains. The last
+// reception of a flood releases its duplicate-suppression state.
+func (f *frame) flood(*sim.Kernel) {
+	n, msg, node, v, ttlLeft, hops, st := f.n, f.msg, f.from, f.to, f.ttl, f.hops, f.st
+	n.releaseFrame(f)
+	switch {
+	case !n.Up(v):
+		n.traffic.RecordDropped(msg.Kind, stats.DropDisconnected)
+	case n.cut(node, v):
+		n.traffic.RecordDropped(msg.Kind, stats.DropPartition)
+	case n.lost():
+		n.traffic.RecordDropped(msg.Kind, stats.DropLoss)
+	default:
+		n.spendRx(v)
+		n.deliver(v, msg, Meta{Hops: hops + 1, At: n.k.Now(), SentAt: st.sentAt, Flood: true, FloodID: st.id})
+		if ttlLeft > 1 {
+			n.transmitFlood(v, ttlLeft-1, msg, st, hops+1)
+		}
+	}
+	if st.pending--; st.pending == 0 {
+		n.releaseFlood(st)
 	}
 }

@@ -72,10 +72,15 @@ func (c DropCause) String() string {
 // Traffic accumulates message counters. One "transmission" is one
 // link-level send: each hop of a unicast and each node's rebroadcast
 // during a flood count once, matching how GloMoSim-era studies report
-// "number of messages". Safe for concurrent reads while the (single
-// threaded) simulation writes.
+// "number of messages".
+//
+// A Traffic holds no lock: it is confined to the kernel goroutine that
+// records into it. In the simulator that is the run's kernel; on the
+// wire it is the daemon's clock goroutine, which the socket reader
+// reaches only through Clock.Inject. Read it from any other goroutine
+// only after that kernel has stopped: a finished run, or a daemon whose
+// Clock.Stop returned without error.
 type Traffic struct {
-	mu         sync.Mutex
 	tx         [protocol.NumKinds]uint64
 	bytes      [protocol.NumKinds]uint64
 	originated [protocol.NumKinds]uint64
@@ -116,8 +121,6 @@ func (t *Traffic) record(k protocol.Kind) int {
 
 // RecordTx records one link-level transmission of size bytes.
 func (t *Traffic) RecordTx(k protocol.Kind, bytes int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	i := t.record(k)
 	t.tx[i]++
 	t.bytes[i] += uint64(bytes)
@@ -125,15 +128,11 @@ func (t *Traffic) RecordTx(k protocol.Kind, bytes int) {
 
 // RecordOriginated records a message entering the network at its origin.
 func (t *Traffic) RecordOriginated(k protocol.Kind) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.originated[t.record(k)]++
 }
 
 // RecordDelivered records a message reaching a destination handler.
 func (t *Traffic) RecordDelivered(k protocol.Kind) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.delivered[t.record(k)]++
 }
 
@@ -141,8 +140,6 @@ func (t *Traffic) RecordDelivered(k protocol.Kind) {
 // cause. Out-of-range causes fold into DropNoRoute and count as an
 // invalid record, mirroring how invalid kinds are surfaced.
 func (t *Traffic) RecordDropped(k protocol.Kind, cause DropCause) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if cause < 0 || cause >= NumDropCauses {
 		t.invalid++
 		cause = DropNoRoute
@@ -154,8 +151,6 @@ func (t *Traffic) RecordDropped(k protocol.Kind, cause DropCause) {
 // (an undecodable datagram). Out-of-range causes fold into DropNoRoute
 // and count as an invalid record, mirroring RecordDropped.
 func (t *Traffic) RecordDroppedUnknown(cause DropCause) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if cause < 0 || cause >= NumDropCauses {
 		t.invalid++
 		cause = DropNoRoute
@@ -168,8 +163,6 @@ func (t *Traffic) DroppedUnknown(cause DropCause) uint64 {
 	if cause < 0 || cause >= NumDropCauses {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.droppedUnknown[cause]
 }
 
@@ -177,38 +170,30 @@ func (t *Traffic) DroppedUnknown(cause DropCause) uint64 {
 // a correct simulation; anything else is an accounting bug upstream. The
 // telemetry snapshot exports it as rpcc_invalid_kind_total.
 func (t *Traffic) Invalid() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.invalid
 }
 
 // InvalidTx returns the transmission count absorbed by the KindInvalid
 // slot (the samples behind Invalid's tx records).
 func (t *Traffic) InvalidTx() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.tx[0]
 }
 
 // Merge adds every counter of other into t — the cross-run aggregation
 // primitive: fold per-run ledgers from independent simulations (e.g. a
-// fleet of replica runs) into one combined ledger. Merge snapshots other
-// under its own lock before locking t, so concurrent merges in either
-// direction cannot deadlock; merging a ledger into itself doubles it,
-// as the arithmetic says it should. Merging nil is a no-op.
+// fleet of replica runs) into one combined ledger. Both ledgers must be
+// at rest (their kernels stopped) or owned by the calling goroutine.
+// Merge snapshots other before adding, so merging a ledger into itself
+// doubles it, as the arithmetic says it should. Merging nil is a no-op.
 func (t *Traffic) Merge(other *Traffic) {
 	if other == nil {
 		return
 	}
-	other.mu.Lock()
 	tx, bytes := other.tx, other.bytes
 	originated, delivered, dropped := other.originated, other.delivered, other.dropped
 	droppedUnknown := other.droppedUnknown
 	invalid := other.invalid
-	other.mu.Unlock()
 
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i := 0; i < protocol.NumKinds; i++ {
 		t.tx[i] += tx[i]
 		t.bytes[i] += bytes[i]
@@ -226,16 +211,12 @@ func (t *Traffic) Merge(other *Traffic) {
 
 // Tx returns the transmission count for one kind.
 func (t *Traffic) Tx(k protocol.Kind) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.tx[idx(k)]
 }
 
 // TotalTx returns the total link-level transmissions across all kinds —
 // the y-axis of Fig 7 and Fig 9(a).
 func (t *Traffic) TotalTx() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var sum uint64
 	for _, v := range t.tx {
 		sum += v
@@ -245,8 +226,6 @@ func (t *Traffic) TotalTx() uint64 {
 
 // TotalBytes returns total bytes transmitted.
 func (t *Traffic) TotalBytes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var sum uint64
 	for _, v := range t.bytes {
 		sum += v
@@ -256,15 +235,11 @@ func (t *Traffic) TotalBytes() uint64 {
 
 // Delivered returns the delivery count for one kind.
 func (t *Traffic) Delivered(k protocol.Kind) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.delivered[idx(k)]
 }
 
 // Originated returns the origination count for one kind.
 func (t *Traffic) Originated(k protocol.Kind) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.originated[idx(k)]
 }
 
@@ -272,8 +247,6 @@ func (t *Traffic) Originated(k protocol.Kind) uint64 {
 // the figure reports only need the total; fault diagnosis reads the
 // per-cause split via DroppedByCause.
 func (t *Traffic) Dropped(k protocol.Kind) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var sum uint64
 	for _, v := range t.dropped[idx(k)] {
 		sum += v
@@ -286,8 +259,6 @@ func (t *Traffic) DroppedByCause(k protocol.Kind, cause DropCause) uint64 {
 	if cause < 0 || cause >= NumDropCauses {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped[idx(k)][cause]
 }
 
@@ -299,8 +270,6 @@ func (t *Traffic) TotalDroppedByCause(cause DropCause) uint64 {
 	if cause < 0 || cause >= NumDropCauses {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	sum := t.droppedUnknown[cause]
 	for k := 0; k < protocol.NumKinds; k++ {
 		sum += t.dropped[k][cause]
@@ -311,8 +280,6 @@ func (t *Traffic) TotalDroppedByCause(cause DropCause) uint64 {
 // Snapshot returns per-kind transmission counts for every kind that saw
 // traffic, sorted by kind, for reports.
 func (t *Traffic) Snapshot() []KindCount {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var out []KindCount
 	for k := 1; k < protocol.NumKinds; k++ {
 		if t.tx[k] > 0 {
@@ -342,8 +309,10 @@ func (t *Traffic) String() string {
 // Latency records a duration distribution with exact moments plus
 // logarithmic buckets (powers of two from 1 ms), because Fig 8 plots
 // latency on a log scale spanning milliseconds to minutes.
+//
+// Like Traffic, a Latency holds no lock: only its kernel goroutine
+// records into it, and other goroutines read it after that kernel stops.
 type Latency struct {
-	mu      sync.Mutex
 	count   uint64
 	sum     time.Duration
 	min     time.Duration
@@ -373,8 +342,6 @@ func (l *Latency) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.count++
 	l.sum += d
 	if d < l.min {
@@ -388,15 +355,11 @@ func (l *Latency) Record(d time.Duration) {
 
 // Count returns the number of samples.
 func (l *Latency) Count() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.count
 }
 
 // Mean returns the mean sample, or zero with no samples.
 func (l *Latency) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.count == 0 {
 		return 0
 	}
@@ -405,8 +368,6 @@ func (l *Latency) Mean() time.Duration {
 
 // Min returns the smallest sample, or zero with no samples.
 func (l *Latency) Min() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.count == 0 {
 		return 0
 	}
@@ -415,16 +376,12 @@ func (l *Latency) Min() time.Duration {
 
 // Max returns the largest sample.
 func (l *Latency) Max() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.max
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) from the
 // log buckets: the upper edge of the bucket containing the q-th sample.
 func (l *Latency) Quantile(q float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.count == 0 || q <= 0 {
 		return 0
 	}

@@ -189,33 +189,6 @@ func TestTrafficMerge(t *testing.T) {
 	}
 }
 
-// TestTrafficMergeConcurrent exercises cross-direction concurrent merges
-// under the race detector: the snapshot-then-add locking discipline must
-// neither deadlock nor race.
-func TestTrafficMergeConcurrent(t *testing.T) {
-	a, b := NewTraffic(), NewTraffic()
-	a.RecordTx(protocol.KindPoll, 1)
-	b.RecordTx(protocol.KindUpdate, 1)
-	done := make(chan struct{}, 2)
-	go func() {
-		for i := 0; i < 100; i++ {
-			a.Merge(b)
-		}
-		done <- struct{}{}
-	}()
-	go func() {
-		for i := 0; i < 100; i++ {
-			b.Merge(a)
-		}
-		done <- struct{}{}
-	}()
-	<-done
-	<-done
-	if a.TotalTx() == 0 || b.TotalTx() == 0 {
-		t.Fatal("merge lost all counters")
-	}
-}
-
 func TestTrafficSnapshotSortedAndFiltered(t *testing.T) {
 	tr := NewTraffic()
 	tr.RecordTx(protocol.KindPollAckA, 32)

@@ -37,19 +37,23 @@ type member struct {
 }
 
 // absorb folds a stopped incarnation's counters into the accumulators.
-// Callers hold mu and have already stopped the node.
+// Callers hold mu and have already stopped the node. A node whose Stop
+// missed its drain deadline contributes only its transport's atomic
+// counters: its kernel goroutine may still be writing the rest.
 func (m *member) absorb() {
 	if m.nd == nil {
 		return
 	}
-	ch := m.nd.Chassis()
-	m.issued += ch.Issued()
-	m.answered += ch.Answered()
-	m.failed += ch.Failed()
+	if m.nd.Drained() {
+		ch := m.nd.Chassis()
+		m.issued += ch.Issued()
+		m.answered += ch.Answered()
+		m.failed += ch.Failed()
+		m.traffic.Merge(m.nd.Traffic())
+		m.lat = m.nd.Latency()
+	}
 	m.decodeErrs += m.nd.Transport().DecodeErrors()
 	m.readErrs += m.nd.Transport().ReadErrors()
-	m.traffic.Merge(m.nd.Traffic())
-	m.lat = m.nd.Latency()
 	m.summaries = append(m.summaries, m.nd.Summary())
 	m.nd = nil
 }

@@ -391,10 +391,12 @@ func Run(cfg Config) (Report, error) {
 	}
 	rep.Divergences = divs
 
-	if cfg.Trace {
+	if cfg.Trace && len(rep.StopErrors) == 0 {
 		// Trace mode never runs under churn (Validate forbids it), so
 		// every member held exactly one incarnation and its collector and
-		// latency histogram survive in the accumulators.
+		// latency histogram survive in the accumulators. After an unclean
+		// stop a kernel goroutine may still be writing its collector, so
+		// the trace is not read; the stop errors already fail the report.
 		sets := make([][]ctrace.Span, 0, cfg.N)
 		var latSum time.Duration
 		var latN uint64

@@ -131,6 +131,11 @@ type Node struct {
 	lat     *stats.Latency
 	started bool
 	stopped bool
+	// drainErr is the clock's error from a Stop that missed its drain
+	// deadline. The abandoned kernel goroutine may still be running, so
+	// the kernel-confined state (chassis counters, traffic, latency,
+	// trace collector) must not be read.
+	drainErr error
 }
 
 // NewNode assembles a daemon. Nothing runs until Start.
@@ -340,24 +345,31 @@ func (n *Node) Stop(drain time.Duration) error {
 		return nil
 	}
 	n.stopped = true
-	stopErr := n.clock.Stop(drain)
+	n.drainErr = n.clock.Stop(drain)
 	closeErr := n.tr.Close()
-	// The kernel goroutine has exited (or been abandoned past deadline);
-	// finalise telemetry with the last virtual instant.
-	if stopErr == nil {
-		n.cfg.Hub.AttachTraffic(n.traffic)
-		n.cfg.Hub.Finish(n.k.Now())
+	if n.drainErr != nil {
+		return n.drainErr
 	}
-	if stopErr != nil {
-		return stopErr
-	}
+	// The kernel goroutine has exited; finalise telemetry with the last
+	// virtual instant.
+	n.cfg.Hub.AttachTraffic(n.traffic)
+	n.cfg.Hub.Finish(n.k.Now())
 	return closeErr
 }
 
+// Drained reports whether Stop has returned cleanly: the kernel
+// goroutine has exited, so the kernel-confined state behind Chassis,
+// Traffic, Latency, WorkloadCounts and TraceSpans may be read.
+func (n *Node) Drained() bool { return n.stopped && n.drainErr == nil }
+
 // TraceSpans exports the daemon's causal trace in canonical order (nil
 // without a NodeConfig.Trace collector). Call after Stop: the collector
-// is confined to the kernel goroutine while the clock runs.
+// is confined to the kernel goroutine while the clock runs, and after a
+// Stop that missed its drain deadline TraceSpans returns nil.
 func (n *Node) TraceSpans() []ctrace.Span {
+	if n.drainErr != nil {
+		return nil
+	}
 	return n.cfg.Trace.Export()
 }
 
@@ -385,12 +397,18 @@ func (n *Node) WorkloadCounts() (queries, updates uint64) {
 	return n.wl.Counts()
 }
 
-// Summary renders a one-line daemon report.
+// Summary renders a one-line daemon report. After a Stop that missed
+// its drain deadline it reports the failure and only the transport's
+// read-loop counters, which are atomic.
 func (n *Node) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "node %d (%s): issued=%d answered=%d failed=%d tx=%d bytes=%d",
-		n.cfg.Self, n.cfg.Strategy, n.chassis.Issued(), n.chassis.Answered(),
-		n.chassis.Failed(), n.traffic.TotalTx(), n.traffic.TotalBytes())
+	if n.drainErr != nil {
+		fmt.Fprintf(&b, "node %d (%s): unclean stop: %v", n.cfg.Self, n.cfg.Strategy, n.drainErr)
+	} else {
+		fmt.Fprintf(&b, "node %d (%s): issued=%d answered=%d failed=%d tx=%d bytes=%d",
+			n.cfg.Self, n.cfg.Strategy, n.chassis.Issued(), n.chassis.Answered(),
+			n.chassis.Failed(), n.traffic.TotalTx(), n.traffic.TotalBytes())
+	}
 	if d := n.tr.DecodeErrors(); d > 0 {
 		fmt.Fprintf(&b, " decode-errs=%d", d)
 	}

@@ -103,7 +103,10 @@ type Transport struct {
 
 	closeOnce sync.Once
 	closeErr  error
-	readDone  chan struct{}
+	// reading is set by Run; Close waits on readDone only for a read
+	// loop that was started.
+	reading  atomic.Bool
+	readDone chan struct{}
 }
 
 // Compile-time conformance with the engine-facing interface.
@@ -163,16 +166,22 @@ func (t *Transport) SetTraceCollector(c *ctrace.Collector) { t.trace = c }
 
 // Run starts the socket read loop. Call once, after the receivers are
 // installed; Close terminates it.
-func (t *Transport) Run() { go t.readLoop() }
+func (t *Transport) Run() {
+	t.reading.Store(true)
+	go t.readLoop()
+}
 
 // LocalAddr returns the socket's bound address.
 func (t *Transport) LocalAddr() *net.UDPAddr { return t.conn.LocalAddr().(*net.UDPAddr) }
 
-// Close shuts the socket and waits for the read loop to exit.
+// Close shuts the socket and waits for the read loop, if Run started
+// one, to exit.
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		t.closeErr = t.conn.Close()
-		<-t.readDone
+		if t.reading.Load() {
+			<-t.readDone
+		}
 	})
 	return t.closeErr
 }
