@@ -98,6 +98,15 @@ type peerState struct {
 	items map[data.ItemID]*itemState
 }
 
+// newPeerState returns empty protocol state for node nd, its items map
+// sized to the node's cache so warming it never grows the map.
+func (e *Engine) newPeerState(nd int) *peerState {
+	return &peerState{
+		relays: make(map[int]struct{}),
+		items:  make(map[data.ItemID]*itemState, e.ch.Stores[nd].Capacity()),
+	}
+}
+
 // pollRound is one cache node's in-flight validation round.
 type pollRound struct {
 	q     *node.Query
@@ -169,10 +178,7 @@ func New(cfg Config, ch *node.Chassis, tel Telemetry) (*Engine, error) {
 		polls:      make(map[uint64]*pollRound),
 	}
 	for i := 0; i < n; i++ {
-		e.peers[i] = &peerState{
-			relays: make(map[int]struct{}),
-			items:  make(map[data.ItemID]*itemState),
-		}
+		e.peers[i] = e.newPeerState(i)
 		tr, err := NewCoeffTracker(cfg.Omega, cfg.CoeffPeriod)
 		if err != nil {
 			return nil, err
@@ -811,10 +817,7 @@ func (e *Engine) Crash(k *sim.Kernel, nd int) error {
 		}
 	}
 	e.ch.Stores[nd].Clear()
-	e.peers[nd] = &peerState{
-		relays: make(map[int]struct{}),
-		items:  make(map[data.ItemID]*itemState),
-	}
+	e.peers[nd] = e.newPeerState(nd)
 	tr, err := NewCoeffTracker(e.cfg.Omega, e.cfg.CoeffPeriod)
 	if err != nil {
 		return err

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -147,5 +149,33 @@ func TestRegistry(t *testing.T) {
 func TestItemIDString(t *testing.T) {
 	if got := ItemID(17).String(); got != "D17" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+func TestValueForMatchesSprintf(t *testing.T) {
+	ids := []ItemID{math.MinInt64, -1, 0, 1, 17, math.MaxInt64}
+	versions := []Version{0, 1, 9, 10, 1 << 32, math.MaxUint64 - 1, math.MaxUint64}
+	for _, id := range ids {
+		for _, v := range versions {
+			want := fmt.Sprintf("item-%d-v%d", int(id), uint64(v))
+			if got := ValueFor(id, v); got != want {
+				t.Errorf("ValueFor(%d, %d) = %q, want %q", id, v, got, want)
+			}
+			if c := (Copy{ID: id, Version: v, Value: want}); !c.Consistent() {
+				t.Errorf("Consistent() = false for %q", want)
+			}
+		}
+	}
+}
+
+func TestConsistentDoesNotAllocate(t *testing.T) {
+	good := Copy{ID: math.MinInt64, Version: math.MaxUint64, Value: ValueFor(math.MinInt64, math.MaxUint64)}
+	torn := Copy{ID: 3, Version: 2, Value: ValueFor(3, 1)}
+	var ok bool
+	if n := testing.AllocsPerRun(100, func() { ok = good.Consistent() && !torn.Consistent() }); n != 0 {
+		t.Fatalf("Consistent allocates %v times per call pair, want 0", n)
+	}
+	if !ok {
+		t.Fatal("Consistent misjudged a good or a torn copy")
 	}
 }

@@ -556,8 +556,10 @@ func warmCaches(k *sim.Kernel, cfg Config, reg *data.Registry, stores []*cache.S
 		}
 		return domains
 	}
+	seen := make(map[int]bool, min(cfg.CacheNum+1, cfg.NPeers))
 	for host := 0; host < cfg.NPeers; host++ {
-		seen := map[int]bool{host: true}
+		clear(seen)
+		seen[host] = true
 		for len(seen) <= cfg.CacheNum && len(seen) < cfg.NPeers {
 			item := rng.Intn(cfg.NPeers)
 			if seen[item] {

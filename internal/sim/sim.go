@@ -337,12 +337,14 @@ func (k *Kernel) RunUntil(t time.Duration) {
 // Stream returns the named deterministic random stream, creating it on
 // first use. Streams are derived from the root seed and the name, so adding
 // a new consumer of randomness does not perturb existing streams — a
-// property that keeps A/B comparisons between strategies honest.
+// property that keeps A/B comparisons between strategies honest. A stream
+// draws what rand.NewSource(seed) would, but builds its register only when
+// drawn from past its first 273 values (stream.go).
 func (k *Kernel) Stream(name string) *rand.Rand {
 	if r, ok := k.streams[name]; ok {
 		return r
 	}
-	r := rand.New(rand.NewSource(deriveSeed(k.root, name)))
+	r := rand.New(newStream(deriveSeed(k.root, name)))
 	k.streams[name] = r
 	return r
 }

@@ -118,6 +118,11 @@ type Hub struct {
 	repairAttempts map[string]*Counter
 	repairGiveUps  map[string]*Counter
 
+	// Per-event counters whose label values are open-ended (violation
+	// class, failure reason, role transition, fault kind), resolved
+	// through the registry on first use only.
+	events map[eventKey]*Counter
+
 	simSeconds *Gauge
 
 	// Span plane (LevelSpans only).
@@ -142,6 +147,7 @@ func NewHub(level Level) *Hub {
 		membership:     make(map[string]*Counter, 5),
 		repairAttempts: make(map[string]*Counter, 2),
 		repairGiveUps:  make(map[string]*Counter, 2),
+		events:         make(map[eventKey]*Counter),
 	}
 	for k := 1; k < protocol.NumKinds; k++ {
 		kind := Label{"kind", protocol.Kind(k).String()}
@@ -275,8 +281,8 @@ func (h *Hub) QueryAnswered(level consistency.Level, latency, stale time.Duratio
 	h.queryLatency[level].ObserveDuration(latency)
 	h.staleness[level].ObserveDuration(stale)
 	if violation != "" && violation != "none" {
-		h.reg.Counter("rpcc_audit_violations_total", "Answers violating their consistency level.",
-			Label{"class", violation}).Inc()
+		h.eventCounter(eventKey{family: "rpcc_audit_violations_total", a: violation},
+			"Answers violating their consistency level.", "class").Inc()
 	}
 }
 
@@ -286,8 +292,33 @@ func (h *Hub) QueryFailed(level consistency.Level, reason string) {
 		return
 	}
 	h.failed[level].Inc()
-	h.reg.Counter("rpcc_query_failures_total", "Failed queries by reason.",
-		Label{"reason", reason}).Inc()
+	h.eventCounter(eventKey{family: "rpcc_query_failures_total", a: reason},
+		"Failed queries by reason.", "reason").Inc()
+}
+
+// eventKey identifies one per-event counter: its family and up to three
+// label values, in the order eventCounter is given their names.
+type eventKey struct {
+	family  string
+	a, b, c string
+}
+
+// eventCounter returns the counter for key, whose label names are names,
+// registering it on first use. Registration happens exactly when the
+// uncached registry lookup would have made it, so the exposition order is
+// unchanged; later events skip the registry's label sort and signature.
+func (h *Hub) eventCounter(key eventKey, help string, names ...string) *Counter {
+	if c, ok := h.events[key]; ok {
+		return c
+	}
+	values := [...]string{key.a, key.b, key.c}
+	labels := make([]Label, len(names))
+	for i, n := range names {
+		labels[i] = Label{n, values[i]}
+	}
+	c := h.reg.Counter(key.family, help, labels...)
+	h.events[key] = c
+	return c
 }
 
 // QuerySpanRecord retains one query's lifecycle record (LevelSpans only).
@@ -305,8 +336,8 @@ func (h *Hub) RoleTransition(at time.Duration, node, item int, from, to, reason 
 	if h == nil {
 		return
 	}
-	h.reg.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
-		Label{"from", from}, Label{"to", to}, Label{"reason", reason}).Inc()
+	h.eventCounter(eventKey{family: "rpcc_role_transitions_total", a: from, b: to, c: reason},
+		"Fig 5 role transitions.", "from", "to", "reason").Inc()
 	if h.spans != nil {
 		h.spans.AddRole(RoleSpan{
 			AtNs: int64(at), Node: node, Item: item,
@@ -373,8 +404,8 @@ func (h *Hub) FaultEvent(at time.Duration, kind string, nodes []int, item int, n
 	if h == nil {
 		return
 	}
-	h.reg.Counter("rpcc_fault_events_total", "Injected fault-plane events.",
-		Label{"kind", kind}).Inc()
+	h.eventCounter(eventKey{family: "rpcc_fault_events_total", a: kind},
+		"Injected fault-plane events.", "kind").Inc()
 	if h.spans != nil {
 		h.spans.AddFault(FaultSpan{
 			AtNs: int64(at), Kind: kind, Nodes: append([]int(nil), nodes...),

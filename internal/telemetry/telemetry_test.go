@@ -294,3 +294,50 @@ func TestWriteJSONLShape(t *testing.T) {
 		t.Errorf("last line is not the snapshot: %s", lines[len(lines)-1])
 	}
 }
+
+// TestHubEventCountersResolveOnce checks that the per-event counters the
+// hub caches export exactly what direct registry lookups would, and that
+// a repeated event no longer goes through the registry.
+func TestHubEventCountersResolveOnce(t *testing.T) {
+	h := NewHub(LevelMetrics)
+	want := NewRegistry()
+	events := func() {
+		h.RoleTransition(0, 1, 2, "cache", "relay", "elected", 0, 0, 0)
+		h.QueryFailed(consistency.LevelStrong, "timeout")
+		h.QueryAnswered(consistency.LevelWeak, time.Millisecond, 0, "stale")
+		h.FaultEvent(0, "crash", nil, -1, "")
+	}
+	for i := 0; i < 3; i++ {
+		events()
+		want.Counter("rpcc_role_transitions_total", "Fig 5 role transitions.",
+			Label{"from", "cache"}, Label{"to", "relay"}, Label{"reason", "elected"}).Inc()
+		want.Counter("rpcc_query_failures_total", "Failed queries by reason.",
+			Label{"reason", "timeout"}).Inc()
+		want.Counter("rpcc_audit_violations_total", "Answers violating their consistency level.",
+			Label{"class", "stale"}).Inc()
+		want.Counter("rpcc_fault_events_total", "Injected fault-plane events.",
+			Label{"kind", "crash"}).Inc()
+	}
+	got := h.Snapshot()
+	for _, name := range []string{"rpcc_role_transitions_total", "rpcc_query_failures_total",
+		"rpcc_audit_violations_total", "rpcc_fault_events_total"} {
+		var wb, gb bytes.Buffer
+		wf, _ := want.Snapshot(0).Family(name)
+		gf, ok := got.Family(name)
+		if !ok {
+			t.Fatalf("family %s missing", name)
+		}
+		if err := WritePrometheus(&wb, &Snapshot{Families: []FamilySnap{wf}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WritePrometheus(&gb, &Snapshot{Families: []FamilySnap{gf}}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
+			t.Errorf("%s exports\n%s\nwant\n%s", name, gb.String(), wb.String())
+		}
+	}
+	if n := testing.AllocsPerRun(100, events); n != 0 {
+		t.Fatalf("repeated events allocate %v times, want 0", n)
+	}
+}
